@@ -28,6 +28,11 @@ WiraServer::WiraServer(sim::EventLoop& loop, const media::LiveStream& stream,
       });
 }
 
+WiraServer::~WiraServer() {
+  for (const sim::EventId id : events_) loop_.cancel(id);
+  if (sync_timer_) loop_.cancel(*sync_timer_);
+}
+
 void WiraServer::on_handshake_message(const quic::HandshakeMessage& msg) {
   if (msg.msg_tag != quic::kTagCHLO) return;
   // Extract the Wira HQST tag (parse_hs_data analogue, §V): the sealed
@@ -125,7 +130,7 @@ void WiraServer::on_request(std::span<const uint8_t> data) {
 }
 
 void WiraServer::start_streaming() {
-  join_time_ = loop_.now();
+  join_time_ = loop_.now() - config_.stream_epoch;
 
   // Join burst: fetched from the origin with fetch latency + origin-link
   // serialization, so early tags (header/script/audio) can reach L4 before
@@ -134,7 +139,7 @@ void WiraServer::start_streaming() {
   stream_.join_chunks(join_time_, chunk_scratch_, &loop_.buffers());
   for (media::StreamChunk& chunk : chunk_scratch_) {
     arrival += transfer_time(chunk.bytes.size(), config_.origin_bandwidth);
-    loop_.schedule_at(arrival, [this, c = std::move(chunk)]() mutable {
+    schedule_tracked(arrival, [this, c = std::move(chunk)]() mutable {
       deliver_from_origin(std::move(c));
     });
   }
@@ -143,7 +148,8 @@ void WiraServer::start_streaming() {
   // Periodic Hx_QoS synchronization only when the client declared support
   // in its CHLO (HQST Bool = 1, §IV-B).
   if (config_.cookie_sync_enabled && client_supports_sync_) {
-    loop_.schedule_in(config_.sync_period, [this] { sync_cookie(); });
+    sync_timer_ =
+        loop_.schedule_in(config_.sync_period, [this] { sync_cookie(); });
   }
 }
 
@@ -168,18 +174,23 @@ void WiraServer::deliver_from_origin(media::StreamChunk chunk) {
 
 void WiraServer::schedule_live_tail(TimeNs from_pts) {
   // Pull the next second of frames, deliver each at pts + origin latency,
-  // then re-arm.  Stops at the configured horizon.
+  // then re-arm.  Stops at the configured horizon, or once the viewer's
+  // connection has closed: nothing muxed after that could be sent.
   const TimeNs until = std::min<TimeNs>(from_pts + seconds(1),
                                         join_time_ + config_.stream_horizon);
-  if (from_pts >= until) return;
+  if (from_pts >= until || conn_.closed()) return;
+  std::erase_if(events_,
+                [this](sim::EventId id) { return !loop_.scheduled(id); });
   stream_.chunks_between(from_pts, until, chunk_scratch_, &loop_.buffers());
   for (media::StreamChunk& chunk : chunk_scratch_) {
-    const TimeNs at = chunk.pts + config_.origin_latency;
-    loop_.schedule_at(at, [this, c = std::move(chunk)]() mutable {
+    const TimeNs at =
+        config_.stream_epoch + chunk.pts + config_.origin_latency;
+    schedule_tracked(at, [this, c = std::move(chunk)]() mutable {
       deliver_from_origin(std::move(c));
     });
   }
-  loop_.schedule_at(until, [this, until] { schedule_live_tail(until); });
+  schedule_tracked(config_.stream_epoch + until,
+                   [this, until] { schedule_live_tail(until); });
 }
 
 void WiraServer::sync_cookie() {
@@ -208,7 +219,8 @@ void WiraServer::sync_cookie() {
     trace(trace::EventType::kCookieEvent, frame.sealed_blob.size(), 0,
           "sealed");
   }
-  loop_.schedule_in(config_.sync_period, [this] { sync_cookie(); });
+  sync_timer_ =
+      loop_.schedule_in(config_.sync_period, [this] { sync_cookie(); });
 }
 
 }  // namespace wira::app

@@ -45,6 +45,12 @@ struct ServerConfig {
   Bandwidth origin_bandwidth = mbps(200);
   /// Stop producing live frames after this stream-time horizon.
   TimeNs stream_horizon = seconds(12);
+  /// Loop time at which the live stream's pts 0 went on air.  The
+  /// simulator's loop starts at 0 together with the stream; a real-time
+  /// edge, whose loop clock is CLOCK_MONOTONIC, sets its own start time
+  /// here, so which GOP a viewer joins follows when it joined rather than
+  /// the host's uptime.
+  TimeNs stream_epoch = 0;
   /// Testbed override: fixed init_cwnd/init_pacing instead of the Table-I
   /// scheme computation (used by the Fig. 2 parameter sweeps).
   struct ManualInit {
@@ -60,6 +66,14 @@ class WiraServer {
 
   WiraServer(sim::EventLoop& loop, const media::LiveStream& stream,
              ServerConfig config, SendFn send);
+  /// Cancels every origin delivery, tail re-arm and cookie-sync event the
+  /// server still has queued, so a server may be destroyed while its loop
+  /// keeps running.  The connection's own timers are cancelled when it
+  /// closes; destroy a server with a live connection only when its loop
+  /// will not run again.
+  ~WiraServer();
+  WiraServer(const WiraServer&) = delete;
+  WiraServer& operator=(const WiraServer&) = delete;
 
   void on_datagram(std::span<const uint8_t> data) {
     conn_.on_datagram(data);
@@ -107,6 +121,11 @@ class WiraServer {
   std::vector<media::StreamChunk> chunk_scratch_;
   void schedule_live_tail(TimeNs from_pts);
   void sync_cookie();
+  /// Schedules an origin delivery (or the tail re-arm) and keeps its id
+  /// for the destructor.
+  void schedule_tracked(TimeNs when, sim::EventLoop::EventFn fn) {
+    events_.push_back(loop_.schedule_at(when, std::move(fn)));
+  }
 
   sim::EventLoop& loop_;
   const media::LiveStream& stream_;
@@ -120,12 +139,16 @@ class WiraServer {
   core::InitDecision last_init_;
   std::optional<uint64_t> parsed_ff_size_;
   bool streaming_ = false;
-  TimeNs join_time_ = 0;
+  TimeNs join_time_ = 0;  ///< stream pts at the join
   Bandwidth session_max_bw_ = 0;   ///< running max of cc bandwidth estimate
   uint64_t cookies_synced_ = 0;
   uint32_t ff_fallback_inits_ = 0;
   bool first_byte_sent_ = false;
   std::vector<uint8_t> scid_ = {0x57, 0x49, 0x52, 0x41};  // "WIRA"
+  /// Queued origin deliveries and the tail re-arm; ids of events that
+  /// already ran are trimmed at each re-arm (capacity retained).
+  std::vector<sim::EventId> events_;
+  std::optional<sim::EventId> sync_timer_;
 
   trace::Tracer* tracer_ = nullptr;
   void trace(trace::EventType type, uint64_t a = 0, uint64_t b = 0,

@@ -55,6 +55,8 @@ void EpollRuntime::arm_timer() {
   // real mode, so next_event_time() converts without arithmetic.  A past
   // deadline fires immediately; kNoEvent disarms (it_value all-zero).
   const TimeNs next = loop_.next_event_time();
+  if (next == armed_) return;
+  armed_ = next;
   itimerspec its{};
   if (next != sim::EventLoop::kNoEvent) {
     // A 0 it_value disarms, so clamp a (theoretical) t=0 deadline to 1ns.
@@ -75,16 +77,20 @@ bool EpollRuntime::run(const std::function<bool()>& done, int tick_ms) {
       error_ = std::string("epoll_wait: ") + std::strerror(errno);
       return false;
     }
-    // Fire due loop events first so fd handlers observe a fresh clock
-    // and their schedule_in() delays are relative to real now.
-    loop_.run_until(MonotonicClock::raw_now());
+    // Fire due loop events first, and again before each handler, so
+    // every handler observes a fresh clock and its schedule_in() delays
+    // are relative to real now, not to the start of a batch a slow
+    // sibling handler has already aged.
+    sync_now();
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == timer_fd_) {
         uint64_t expirations = 0;
         (void)!::read(timer_fd_, &expirations, sizeof(expirations));
+        armed_ = -1;  // a one-shot timerfd disarms when it fires
         continue;
       }
+      sync_now();
       const auto it = handlers_.find(fd);
       // A handler may remove_fd() a sibling that is also in this batch.
       if (it != handlers_.end()) it->second(events[i].events);

@@ -8,7 +8,7 @@
 //   arm timerfd to loop.next_event_time()        (absolute MONOTONIC ns)
 //   epoll_wait(...)
 //   loop.run_until(MonotonicClock::raw_now())    (due timers fire)
-//   dispatch readable fds                        (handlers see fresh now)
+//   dispatch readable fds, re-syncing before each (handlers see fresh now)
 //
 // Timers keep nanosecond-precision arming via timerfd (epoll's ms
 // timeout would quantize the pacer), and the loop's clock is raw
@@ -54,7 +54,8 @@ class EpollRuntime {
 
   /// Synchronizes the loop to real time once: advances the loop clock to
   /// CLOCK_MONOTONIC now, firing everything due.  Call before scheduling
-  /// the first event so "loop time 0" never leaks into real mode.
+  /// the first event so "loop time 0" never leaks into real mode, and
+  /// from a handler that drains many datagrams, before each one.
   void sync_now() { loop_.run_until(MonotonicClock::raw_now()); }
 
   /// Drives loop + fds until `done()` returns true.  `done` is checked
@@ -69,6 +70,10 @@ class EpollRuntime {
   sim::EventLoop& loop_;
   int epoll_fd_ = -1;
   int timer_fd_ = -1;
+  /// Deadline the timerfd is armed to (kNoEvent: disarmed), or -1 once
+  /// it has fired or is unknown; arming the same deadline again is
+  /// skipped, saving a timerfd_settime per wakeup.
+  TimeNs armed_ = -1;
   std::string error_;
   std::map<int, FdHandler> handlers_;
 };

@@ -32,6 +32,10 @@ class RangeSet {
   uint64_t total_length() const;
 
   uint64_t min() const { return ranges_.begin()->first; }
+  /// The lowest range; the set must not be empty.
+  Range front() const {
+    return Range{ranges_.begin()->first, ranges_.begin()->second};
+  }
   uint64_t max() const { return ranges_.rbegin()->second; }
 
   /// Ranges in ascending order.

@@ -5,7 +5,7 @@
 namespace wira::quic {
 
 uint64_t SendStream::write(std::span<const uint8_t> data, bool fin) {
-  const uint64_t start = buffer_.size();
+  const uint64_t start = bytes_written();
   buffer_.insert(buffer_.end(), data.begin(), data.end());
   if (fin) {
     fin_written_ = true;
@@ -15,31 +15,34 @@ uint64_t SendStream::write(std::span<const uint8_t> data, bool fin) {
 }
 
 bool SendStream::has_data_to_send() const {
-  return !retx_.empty() || next_offset_ < buffer_.size() || fin_needs_send_;
+  return !retx_.empty() || next_offset_ < bytes_written() || fin_needs_send_;
 }
 
 std::optional<SendStream::Chunk> SendStream::next_chunk(uint64_t max_len) {
   if (max_len == 0) return std::nullopt;
+  const uint64_t end = bytes_written();
   Chunk c;
   if (!retx_.empty()) {
+    // Lost ranges never include acked bytes, so they lie at or past base_.
     const Range r = retx_.pop_front(max_len);
     c.offset = r.lo;
-    c.data = std::span<const uint8_t>(buffer_).subspan(r.lo, r.hi + 1 - r.lo);
-    c.fin = fin_written_ && r.hi + 1 == buffer_.size();
+    c.data = std::span<const uint8_t>(buffer_).subspan(r.lo - base_,
+                                                       r.hi + 1 - r.lo);
+    c.fin = fin_written_ && r.hi + 1 == end;
     return c;
   }
-  if (next_offset_ < buffer_.size()) {
-    const uint64_t len =
-        std::min<uint64_t>(max_len, buffer_.size() - next_offset_);
+  if (next_offset_ < end) {
+    const uint64_t len = std::min<uint64_t>(max_len, end - next_offset_);
     c.offset = next_offset_;
-    c.data = std::span<const uint8_t>(buffer_).subspan(next_offset_, len);
+    c.data = std::span<const uint8_t>(buffer_).subspan(next_offset_ - base_,
+                                                       len);
     next_offset_ += len;
-    c.fin = fin_written_ && next_offset_ == buffer_.size();
+    c.fin = fin_written_ && next_offset_ == end;
     if (c.fin) fin_needs_send_ = false;
     return c;
   }
   if (fin_needs_send_) {
-    c.offset = buffer_.size();
+    c.offset = end;
     c.fin = true;
     fin_needs_send_ = false;
     return c;
@@ -52,8 +55,17 @@ void SendStream::on_range_acked(uint64_t offset, uint64_t len,
   if (len > 0) {
     acked_.add(offset, offset + len - 1);
     retx_.subtract(offset, offset + len - 1);
+    trim_acked_prefix();
   }
   if (fin_acked) fin_acked_ = true;
+}
+
+void SendStream::trim_acked_prefix() {
+  if (acked_.min() != 0) return;
+  const uint64_t drop = acked_.front().hi + 1 - base_;
+  if (drop < kTrimMin || drop < buffer_.size() - drop) return;
+  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(drop));
+  base_ += drop;
 }
 
 void SendStream::on_range_lost(uint64_t offset, uint64_t len, bool fin_lost) {
@@ -67,14 +79,14 @@ void SendStream::on_range_lost(uint64_t offset, uint64_t len, bool fin_lost) {
 }
 
 bool SendStream::all_acked() const {
-  if (buffer_.empty()) return !fin_written_ || fin_acked_;
+  if (bytes_written() == 0) return !fin_written_ || fin_acked_;
   return acked_.size() == 1 && acked_.min() == 0 &&
-         acked_.max() == buffer_.size() - 1 &&
+         acked_.max() == bytes_written() - 1 &&
          (!fin_written_ || fin_acked_);
 }
 
 uint64_t SendStream::pending_bytes() const {
-  return retx_.total_length() + (buffer_.size() - next_offset_);
+  return retx_.total_length() + (bytes_written() - next_offset_);
 }
 
 RecvStream::~RecvStream() {

@@ -1,9 +1,11 @@
 // Stream send/receive machinery.
 //
-// SendStream keeps the full byte buffer for the life of the stream (live
-// sessions are a few MB at most) so retransmissions can always re-read the
-// original bytes; ranges are tracked with RangeSet.  RecvStream reassembles
-// out-of-order frames and delivers the contiguous prefix.
+// SendStream keeps every byte the peer has not yet acknowledged, so
+// retransmissions can always re-read the original bytes; ranges are
+// tracked with RangeSet by stream offset.  The acknowledged prefix is
+// dropped as it grows, so a live stream holds about its unacked bytes in
+// one buffer whose capacity is reused rather than regrown.  RecvStream
+// reassembles out-of-order frames and delivers the contiguous prefix.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,9 @@ class SendStream {
   /// Next chunk to transmit (retransmissions take priority over new data);
   /// at most `max_len` bytes.  Returns nullopt when idle.  `data` borrows
   /// from the stream's retained buffer: valid until the next write() (which
-  /// may reallocate), which is fine for the synchronous pack-and-serialize
-  /// in Connection::pump.
+  /// may reallocate) or on_range_acked() (which may drop the acked prefix),
+  /// which is fine for the synchronous pack-and-serialize in
+  /// Connection::pump.
   struct Chunk {
     uint64_t offset = 0;
     std::span<const uint8_t> data;
@@ -48,7 +51,10 @@ class SendStream {
   /// (already-acked bytes are skipped).
   void on_range_lost(uint64_t offset, uint64_t len, bool fin_lost);
 
-  uint64_t bytes_written() const { return buffer_.size(); }
+  uint64_t bytes_written() const { return base_ + buffer_.size(); }
+  /// Bytes held for (re)transmission: the unacked tail of the stream, plus
+  /// an acked prefix not yet dropped.
+  uint64_t bytes_retained() const { return buffer_.size(); }
   uint64_t next_new_offset() const { return next_offset_; }
   bool fin_written() const { return fin_written_; }
   bool all_acked() const;
@@ -57,8 +63,14 @@ class SendStream {
   uint64_t pending_bytes() const;
 
  private:
+  /// Drops the acked prefix once it is at least as long as the rest of
+  /// the buffer (and kTrimMin), so the memmove stays amortized O(1) a byte.
+  void trim_acked_prefix();
+  static constexpr uint64_t kTrimMin = 16 * 1024;
+
   StreamId id_;
-  std::vector<uint8_t> buffer_;   ///< every byte ever written
+  std::vector<uint8_t> buffer_;   ///< bytes [base_, bytes_written())
+  uint64_t base_ = 0;             ///< offset of buffer_[0]; all below acked
   uint64_t next_offset_ = 0;      ///< first never-sent byte
   RangeSet retx_;                 ///< lost, needs resend
   RangeSet acked_;

@@ -62,6 +62,13 @@ class EventLoop {
   /// Cancels a pending event; no-op if it already ran or was cancelled.
   void cancel(EventId id);
 
+  /// True while `id` is queued: neither run nor cancelled.
+  bool scheduled(EventId id) const {
+    const uint32_t slot = slot_of(id);
+    return slot < slots_.size() && slots_[slot].gen == gen_of(id) &&
+           !slots_[slot].cancelled;
+  }
+
   /// Returns the loop to its freshly constructed state while KEEPING every
   /// capacity it has grown: callable slots, the heap's backing vector, the
   /// buffer pool's recycled buffers and the arena's blocks all survive, so

@@ -244,5 +244,62 @@ TEST(App, FirstFrameBytesMatchParserFfSize) {
             rig.server->parser().ff_size());
 }
 
+// A viewer's CONNECTION_CLOSE ends the server's origin work: the live
+// tail stops re-arming and the cookie sync (every 3 s) stops, so the
+// loop drains long before the 12 s stream horizon.
+TEST(App, LiveTailStopsOnceTheViewerCloses) {
+  Rig rig;
+  rig.prime_zero_rtt();
+  rig.client->start();
+  rig.loop.run_until(seconds(1));
+  ASSERT_TRUE(rig.client->metrics().first_frame_done());
+  rig.client->connection().close(0, "viewer left");
+  rig.loop.run_until(seconds(4));
+  EXPECT_TRUE(rig.server->connection().closed());
+  EXPECT_TRUE(rig.loop.empty());
+}
+
+// Destroying a server mid-stream cancels everything it still has queued,
+// so its loop may keep running.
+TEST(App, DestroyedServerLeavesNothingQueued) {
+  Rig rig;
+  rig.prime_zero_rtt();
+  rig.client->start();
+  // Close mid-way through the tail's second second, so its deliveries
+  // and next re-arm are queued when the close lands.
+  rig.loop.run_until(milliseconds(1500));
+  ASSERT_TRUE(rig.client->metrics().first_frame_done());
+  rig.client->connection().close(0, "viewer left");
+  rig.loop.run_until(milliseconds(1600));
+  ASSERT_TRUE(rig.server->connection().closed());
+  EXPECT_FALSE(rig.loop.empty());
+  rig.server.reset();
+  EXPECT_TRUE(rig.loop.empty());
+}
+
+// A server whose stream went on air at stream_epoch serves a viewer who
+// joins t later exactly what an epoch-0 server serves a viewer joining at
+// t: the joined GOP follows the epoch, not the absolute loop time.
+TEST(App, StreamEpochAnchorsTheJoinedGop) {
+  const auto first_frame = [](TimeNs start, TimeNs epoch) {
+    ServerConfig cfg;
+    cfg.stream_epoch = epoch;
+    Rig rig(cfg);
+    rig.prime_zero_rtt();
+    rig.loop.run_until(start);
+    rig.client->start();
+    rig.loop.run_until(start + seconds(2));
+    EXPECT_TRUE(rig.client->metrics().first_frame_done());
+    return std::pair(rig.client->metrics().first_frame_bytes,
+                     rig.server->parser().ff_size());
+  };
+  const TimeNs on_air = seconds(37);  // mid-GOP 18 of the 2 s GOPs
+  EXPECT_EQ(first_frame(on_air + milliseconds(300), on_air),
+            first_frame(milliseconds(300), 0));
+  // Unanchored, the same join lands in a GOP with another I frame.
+  EXPECT_NE(first_frame(on_air + milliseconds(300), 0),
+            first_frame(milliseconds(300), 0));
+}
+
 }  // namespace
 }  // namespace wira::app

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <sstream>
@@ -188,37 +189,51 @@ TEST(Dispatch, EmptyAssignmentsSkipWorkers) {
 
 // The reason the scheduler exists: with one injected straggler worker,
 // dynamic chunking routes work around it while static striping waits for
-// its whole stripe.  Sleeps dominate both runs, so the comparison is
-// robust under sanitizers; output must stay byte-identical either way.
+// its whole stripe.  The check counts what the straggler ran rather than
+// timing the two runs against each other, so load from other processes
+// cannot flip it; output must stay byte-identical either way.
 TEST(Dispatch, DynamicChunksBeatStaticStripingWithStraggler) {
   using clock = std::chrono::steady_clock;
-  PopulationConfig cfg = small_config(37);
-  cfg.sessions = 24;
+  PopulationConfig clean = small_config(37);
+  clean.sessions = 24;
+  const auto t0 = clock::now();
+  const auto clean_records = run_population(clean);
+  const auto per_session_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(clock::now() - t0)
+          .count() /
+      clean.sessions);
+
+  PopulationConfig cfg = clean;
   cfg.processes = 4;
   cfg.straggler_worker = 0;
-  cfg.straggler_delay_us = 50000;  // 50 ms per session run by worker 0
+  // Worker 0 sleeps at least 150 ms and four healthy sessions' worth
+  // before each of its sessions, so it stays the slowest worker by far
+  // however fast this build (sanitizers) and host load run a session.
+  cfg.straggler_delay_us = std::max<uint64_t>(150000, 4 * per_session_us);
 
-  cfg.chunk = 0;  // static striping: worker 0 serializes 6 x 50 ms
-  const auto t0 = clock::now();
+  DispatchStats static_stats;
+  cfg.chunk = 0;  // static striping: worker 0 serializes its 6 sessions
+  cfg.dispatch_stats = &static_stats;
   const auto static_records = run_population(cfg);
-  const double static_s =
-      std::chrono::duration<double>(clock::now() - t0).count();
 
+  DispatchStats dyn_stats;
   cfg.chunk = 1;  // dynamic: worker 0 pulls ~2 chunks, others take the rest
-  const auto t1 = clock::now();
+  cfg.dispatch_stats = &dyn_stats;
   const auto dyn_records = run_population(cfg);
-  const double dyn_s =
-      std::chrono::duration<double>(clock::now() - t1).count();
 
   EXPECT_TRUE(records_equal(static_records, dyn_records));
-  PopulationConfig clean = cfg;
-  clean.processes = 1;
-  clean.straggler_worker = kNoSessionIndex;
-  clean.straggler_delay_us = 0;
-  EXPECT_TRUE(records_equal(run_population(clean), dyn_records));
-  // Static pays >= 300 ms on worker 0's stripe; dynamic pays ~100 ms.
-  EXPECT_LT(dyn_s, static_s * 0.85)
-      << "static " << static_s << "s vs dynamic " << dyn_s << "s";
+  EXPECT_TRUE(records_equal(clean_records, dyn_records));
+  // Static striping makes the straggler run its whole stripe.  Dynamic
+  // chunking hands it two single-session chunks up front and another
+  // only when one finishes; meanwhile the three healthy workers drain
+  // the queue, so it runs fewer than its stripe.
+  ASSERT_EQ(static_stats.sessions_completed.size(), 4u);
+  ASSERT_EQ(dyn_stats.sessions_completed.size(), 4u);
+  EXPECT_EQ(static_stats.sessions_completed[0], 6u);
+  EXPECT_GE(dyn_stats.sessions_completed[0], 2u);
+  EXPECT_LT(dyn_stats.sessions_completed[0],
+            static_stats.sessions_completed[0])
+      << "straggler delay " << cfg.straggler_delay_us << " us";
 }
 
 // ---- loopback TCP transport --------------------------------------------

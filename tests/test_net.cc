@@ -3,7 +3,8 @@
 // as its timer wheel — and the end-to-end identity check: the sim's own
 // WiraServer/PlayerClient complete a session over real loopback sockets,
 // and the resulting client/server sqlog pair joins with phase spans that
-// sum exactly to the measured FFCT.
+// sum exactly to the measured FFCT — and the proxyd session table
+// (app::SocketEdge): admit on Initial, retire on close or idle timeout.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "app/player_client.h"
+#include "app/socket_edge.h"
 #include "app/wira_server.h"
 #include "core/transport_cookie.h"
 #include "crypto/aead.h"
@@ -117,6 +119,58 @@ TEST(EpollRuntimeTest, LoopTimerFiresAtRealTime) {
   // The timerfd must wake the loop at the deadline, not at the next
   // coarse epoll tick — but never before the deadline.
   EXPECT_GE(MonotonicClock::raw_now() - start, milliseconds(20));
+}
+
+// A handler dispatched after a slow sibling in the same epoll batch must
+// schedule relative to real now, not to the batch's start: a timer it arms
+// for 10 ms must not fire before 10 ms after the handler ran.
+TEST(EpollRuntimeTest, HandlerAfterSlowSiblingSchedulesFromRealNow) {
+  sim::EventLoop loop;
+  EpollRuntime runtime(loop);
+  ASSERT_TRUE(runtime.ok()) << runtime.error();
+  runtime.sync_now();
+
+  UdpSocket a;
+  UdpSocket b;
+  std::string error;
+  ASSERT_TRUE(a.open_bound("127.0.0.1", 0, 0, &error)) << error;
+  ASSERT_TRUE(b.open_bound("127.0.0.1", 0, 0, &error)) << error;
+  UdpSocket tx;
+  ASSERT_TRUE(tx.open_bound("127.0.0.1", 0, 0, &error)) << error;
+  const std::vector<uint8_t> ping = {1};
+  tx.send_to(a.local_addr(), ping);
+  tx.send_to(b.local_addr(), ping);
+
+  // Whichever handler runs first stalls 30 ms; the second arms the timer.
+  bool first_done = false;
+  TimeNs handler_at = 0;
+  TimeNs fired_at = 0;
+  auto handler = [&](UdpSocket& sock) {
+    uint8_t buf[16];
+    while (sock.recv_from(buf, sizeof buf, nullptr) >= 0) {
+    }
+    if (!first_done) {
+      first_done = true;
+      const TimeNs until = MonotonicClock::raw_now() + milliseconds(30);
+      while (MonotonicClock::raw_now() < until) {
+      }
+      return;
+    }
+    handler_at = MonotonicClock::raw_now();
+    loop.schedule_in(milliseconds(10),
+                     [&] { fired_at = MonotonicClock::raw_now(); });
+  };
+  // Loopback delivers on sendto, so both fds are ready in the first
+  // epoll batch.
+  runtime.add_fd(a.fd(), [&](uint32_t) { handler(a); });
+  runtime.add_fd(b.fd(), [&](uint32_t) { handler(b); });
+  const TimeNs deadline = MonotonicClock::raw_now() + seconds(5);
+  ASSERT_TRUE(runtime.run(
+      [&] { return fired_at != 0 || MonotonicClock::raw_now() > deadline; },
+      /*tick_ms=*/20));
+  ASSERT_NE(handler_at, 0);
+  ASSERT_NE(fired_at, 0);
+  EXPECT_GE(fired_at - handler_at, milliseconds(10));
 }
 
 // The tentpole identity check: a complete Wira session — 0-RTT handshake,
@@ -256,6 +310,133 @@ TEST(RealSocketLoopback, SessionCompletesAndVantagesJoin) {
       static_cast<uint64_t>(m.frame_complete_at[0]) / 1000 -
       static_cast<uint64_t>(m.request_sent_at) / 1000;
   EXPECT_EQ(joined.ffct_us, expect_ffct_us);
+}
+
+// ---- app::SocketEdge: the proxyd session table --------------------------
+
+/// One wb_edge-style viewer on its own connected socket: 0-RTT, no cookie,
+/// tracking the first frame.  `silent` drops everything it would send.
+struct LoopbackViewer {
+  UdpSocket sock;
+  app::ClientCache cache;
+  std::optional<app::PlayerClient> client;
+  bool silent = false;
+
+  LoopbackViewer(sim::EventLoop& loop, EpollRuntime& runtime,
+                 uint16_t server_port, const MonotonicClock& mono) {
+    std::string error;
+    EXPECT_TRUE(sock.open_connected("127.0.0.1", server_port, &error))
+        << error;
+    cache.server_configs[7] = {0x57, 0x49, 0x52, 0x41};  // "WIRA"
+    app::ClientConfig cfg;
+    cfg.client_id = 11;
+    cfg.server_id = 7;
+    cfg.track_frames = 1;
+    client.emplace(loop, cfg, cache, [this, &loop](std::vector<uint8_t> d) {
+      if (!silent) sock.send(d);
+      loop.buffers().release(std::move(d));
+    });
+    client->connection().set_clock(&mono);
+    runtime.add_fd(sock.fd(), [this](uint32_t) {
+      uint8_t buf[65536];
+      for (;;) {
+        const ssize_t n = sock.recv_from(buf, sizeof buf, nullptr);
+        if (n < 0) return;
+        client->on_datagram({buf, static_cast<size_t>(n)});
+      }
+    });
+  }
+};
+
+struct EdgeRig {
+  sim::EventLoop loop;
+  EpollRuntime runtime{loop};
+  const MonotonicClock mono;
+  std::optional<app::SocketEdge> edge;
+
+  EdgeRig() {
+    EXPECT_TRUE(runtime.ok()) << runtime.error();
+    runtime.sync_now();
+    UdpSocket sock;
+    std::string error;
+    EXPECT_TRUE(sock.open_bound("127.0.0.1", 0, 0, &error)) << error;
+    app::ServerConfig server;
+    server.scheme = core::Scheme::kWira;
+    server.master_key = crypto::key_from_string("wira-server-7");
+    edge.emplace(runtime, std::move(sock), server, /*trace_dir=*/"");
+    runtime.add_fd(edge->socket().fd(), [this](uint32_t) { edge->drain(); });
+  }
+  uint16_t port() const { return edge->socket().local_port(); }
+
+  /// Runs the runtime until `pred` holds or `limit` passes; returns pred.
+  template <typename Pred>
+  bool run_until(Pred pred, TimeNs limit = seconds(10)) {
+    const TimeNs deadline = MonotonicClock::raw_now() + limit;
+    EXPECT_TRUE(runtime.run(
+        [&] { return pred() || MonotonicClock::raw_now() > deadline; },
+        /*tick_ms=*/10));
+    return pred();
+  }
+};
+
+// A viewer that leaves with CONNECTION_CLOSE is retired at the end of the
+// batch that carried the close, with the live tail still queued — and
+// nothing the session scheduled survives it.  A late datagram from the
+// same peer is not an Initial, so it is dropped rather than admitted as a
+// second session.
+TEST(SocketEdgeTest, ClosedViewerIsRetiredAndLateDatagramIsDropped) {
+  EdgeRig rig;
+  LoopbackViewer viewer(rig.loop, rig.runtime, rig.port(), rig.mono);
+  viewer.client->start();
+  ASSERT_TRUE(rig.run_until(
+      [&] { return viewer.client->metrics().first_frame_done(); }));
+  EXPECT_EQ(rig.edge->admitted(), 1u);
+  EXPECT_EQ(rig.edge->live(), 1u);
+
+  viewer.client->connection().close(0, "viewer left");
+  ASSERT_TRUE(rig.run_until([&] { return rig.edge->live() == 0; }));
+  EXPECT_EQ(rig.edge->retired(), 1u);
+  // Both connections are closed, so only a leaked origin delivery, tail
+  // re-arm, cookie-sync or idle timer could still be queued.
+  EXPECT_EQ(rig.loop.pending(), 0u);
+
+  const std::vector<uint8_t> late = {
+      static_cast<uint8_t>(quic::PacketType::kOneRtt), 0, 0, 0, 0, 0, 0, 0,
+      1};
+  viewer.sock.send(late);
+  ASSERT_TRUE(rig.run_until([&] { return rig.edge->dropped() == 1; }));
+  EXPECT_EQ(rig.edge->live(), 0u);
+  EXPECT_EQ(rig.edge->admitted(), 1u);
+  EXPECT_EQ(rig.edge->retired(), 1u);
+}
+
+// A viewer that vanishes without CONNECTION_CLOSE is closed and retired
+// once it has been silent for the idle timeout — not before.  (Takes the
+// full 10 s timeout of real time.)
+TEST(SocketEdgeTest, SilentPeerIsRetiredAfterIdleTimeout) {
+  constexpr TimeNs kIdle = app::SocketEdge::kIdleTimeout;
+  EdgeRig rig;
+  LoopbackViewer viewer(rig.loop, rig.runtime, rig.port(), rig.mono);
+  viewer.client->start();
+  ASSERT_TRUE(rig.run_until(
+      [&] { return viewer.client->metrics().first_frame_done(); }));
+
+  viewer.silent = true;
+  rig.runtime.remove_fd(viewer.sock.fd());
+  const TimeNs silent_at = MonotonicClock::raw_now();
+  // The viewer acknowledged the stream until just now.
+  EXPECT_FALSE(rig.run_until([&] { return rig.edge->live() == 0; },
+                             kIdle - seconds(1)));
+  EXPECT_EQ(rig.edge->live(), 1u);
+  ASSERT_TRUE(rig.run_until([&] { return rig.edge->live() == 0; }));
+  EXPECT_LT(MonotonicClock::raw_now() - silent_at, kIdle + seconds(2));
+  EXPECT_EQ(rig.edge->admitted(), 1u);
+  EXPECT_EQ(rig.edge->retired(), 1u);
+
+  // The session's 12 s live tail went with it: once the viewer's own
+  // connection is closed, the loop is empty.
+  viewer.client->connection().close(0, "viewer left");
+  EXPECT_EQ(rig.loop.pending(), 0u);
 }
 
 }  // namespace

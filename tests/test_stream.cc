@@ -84,6 +84,36 @@ TEST(SendStream, AckedBytesNotRetransmitted) {
   EXPECT_FALSE(s.has_data_to_send());
 }
 
+// A long-lived stream holds about its unacked bytes: the acked prefix is
+// dropped, while offsets, retransmitted bytes and the fin stay exact.
+TEST(SendStream, AckedPrefixIsDropped) {
+  SendStream s(3);
+  const std::vector<uint8_t> data = seq_bytes(100'000, 7);
+  s.write(data);
+  while (s.next_chunk(1000)) {
+  }
+  s.on_range_acked(0, 80'000, false);
+  EXPECT_EQ(s.bytes_written(), 100'000u);
+  EXPECT_LE(s.bytes_retained(), 20'000u);
+  // Lost bytes past the dropped prefix are resent as written; a loss
+  // report overlapping it resends only the unacked part.
+  s.on_range_lost(79'000, 2'000, false);
+  auto r = s.next_chunk(5000);
+  ASSERT_TRUE(r);
+  EXPECT_EQ(r->offset, 80'000u);
+  EXPECT_EQ(vec(r->data), std::vector<uint8_t>(data.begin() + 80'000,
+                                               data.begin() + 81'000));
+  // New data keeps its offsets after the drop.
+  EXPECT_EQ(s.write(seq_bytes(10), /*fin=*/true), 100'000u);
+  auto n = s.next_chunk(5000);
+  ASSERT_TRUE(n);
+  EXPECT_EQ(n->offset, 100'000u);
+  EXPECT_TRUE(n->fin);
+  s.on_range_acked(80'000, 20'010, /*fin_acked=*/true);
+  EXPECT_TRUE(s.all_acked());
+  EXPECT_EQ(s.pending_bytes(), 0u);
+}
+
 TEST(SendStream, AllAckedTracksFin) {
   SendStream s(3);
   s.write(seq_bytes(100), true);

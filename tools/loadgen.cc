@@ -12,6 +12,8 @@
 // Output: JSON on stdout (per-scheme sessions / handshake failures /
 // zero-RTT count / FFCT p50+p90, sim p50 when --sim-compare), a human
 // summary on stderr.  Exit 0 iff every session completed its handshake.
+// Each session sends CONNECTION_CLOSE when it ends: once its tracked
+// frames are complete, or when the run ends.
 //
 //   wira_loadgen --ports /tmp/proxyd.ports --sessions 250
 //   wira_loadgen --ports p --sessions 4 --trace-dir traces  # client sqlogs
@@ -307,9 +309,17 @@ int main(int argc, char** argv) {
         }
       }
       const uint32_t track = static_cast<uint32_t>(args.track_frames);
-      s->client->set_on_frame_complete([&done_count, track](uint32_t idx) {
-        if (idx == track) ++done_count;
-      });
+      s->client->set_on_frame_complete(
+          [&done_count, &loop, s, track](uint32_t idx) {
+            if (idx != track) return;
+            ++done_count;
+            // The session is over: say so, so proxyd retires it now.
+            // Deferred so the close is not sent from inside the datagram
+            // that completed the frame.
+            loop.schedule_in(0, [s] {
+              s->client->connection().close(0, "viewer left");
+            });
+          });
       s->client->connection().set_clock(&mono);
 
       runtime.add_fd(s->sock.fd(), [s](uint32_t) {
@@ -336,6 +346,11 @@ int main(int argc, char** argv) {
     return done_count >= total ||
            net::MonotonicClock::raw_now() >= deadline;
   });
+  // Sessions still open here ended with the run (the last ones to finish,
+  // or timed out); close() is a no-op for those already closed.
+  for (const auto& s : sessions) {
+    s->client->connection().close(0, "viewer left");
+  }
 
   // ---- report ----
   size_t handshake_failures = 0;

@@ -8,11 +8,19 @@
 // timer wheel and nothing in src/app, src/quic or src/cc knows whether
 // time is virtual or real.
 //
-// One UDP socket per Table-I scheme; sessions demux by peer address
-// (wira_loadgen gives every session its own connected socket, so the
-// source port is the session identity).  --port-file lists one
-// "scheme_token addr:port" line per scheme — the exact endpoints
-// wira_loadgen consumes.
+// One UDP socket per Table-I scheme, each behind an app::SocketEdge that
+// demuxes sessions by peer address (wira_loadgen gives every session its
+// own connected socket, so the source port is the session identity) and
+// retires a session once its connection closes, by CONNECTION_CLOSE or
+// idle timeout.  --port-file lists one "scheme_token addr:port" line per
+// scheme — the exact endpoints wira_loadgen consumes.  On SIGTERM/SIGINT
+// the daemon exits with
+//
+//   wira_proxyd: served N session(s), M datagram(s), retired R, live L,
+//   dropped D
+//
+// (one line): N sessions admitted in all, R of them retired, L still
+// open, D datagrams dropped from unknown peers that sent no Initial.
 //
 //   wira_proxyd --listen 0 --port-file /tmp/proxyd.ports
 //   wira_proxyd --schemes wira --trace-dir traces   # server-vantage qlogs
@@ -23,23 +31,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "app/wira_server.h"
+#include "app/socket_edge.h"
 #include "core/init_config.h"
 #include "crypto/aead.h"
-#include "media/stream_source.h"
-#include "net/clock.h"
 #include "net/epoll_runtime.h"
 #include "net/udp_socket.h"
-#include "obs/qlog.h"
 #include "sim/event_loop.h"
-#include "trace/tracer.h"
 
 namespace {
 
@@ -133,27 +134,6 @@ std::vector<wira::core::Scheme> parse_schemes(const Args& a,
   return out;
 }
 
-/// One live session: the same objects exp::run_session wires up, minus
-/// the simulated path — datagrams arrive from the socket and leave
-/// through sendto(peer).
-struct Session {
-  wira::media::LiveStream stream;
-  wira::trace::Tracer tracer;
-  std::ofstream qlog;
-  std::optional<wira::obs::QlogStreamWriter> qlog_writer;
-  std::optional<wira::app::WiraServer> server;
-
-  Session(const wira::media::StreamProfile& profile, uint64_t corpus_seed)
-      : stream(profile, corpus_seed) {}
-};
-
-struct SchemeListener {
-  wira::core::Scheme scheme;
-  wira::net::UdpSocket sock;
-  std::map<wira::net::PeerAddr, std::unique_ptr<Session>> sessions;
-  uint64_t datagrams = 0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -174,73 +154,34 @@ int main(int argc, char** argv) {
   // Session timers are real timestamps from here on; scheduling anything
   // before this sync would backdate it to loop time 0.
   runtime.sync_now();
-  const net::MonotonicClock mono;
 
-  const crypto::Key master_key = crypto::key_from_string("wira-server-7");
-  const media::StreamProfile profile;  // corpus default, as in the sim
-  constexpr uint64_t kCorpusSeed = 42;
+  app::ServerConfig server;
+  server.master_key = crypto::key_from_string("wira-server-7");
+  server.expected_od_key = 0;  // serve any client's cookie binding
+  server.origin_latency = microseconds(args.origin_latency_us);
+  server.stream_horizon = milliseconds(args.stream_horizon_ms);
+  // The stream goes on air with the daemon: a viewer arriving t after
+  // start joins the GOP at t on every run, whatever the host's uptime.
+  server.stream_epoch = loop.now();
 
-  std::vector<std::unique_ptr<SchemeListener>> listeners;
+  // One edge per scheme socket; each drains its socket fully per wakeup.
+  std::vector<std::unique_ptr<app::SocketEdge>> edges;
   for (size_t si = 0; si < schemes.size(); ++si) {
-    auto lst = std::make_unique<SchemeListener>();
-    lst->scheme = schemes[si];
     const uint16_t port =
         args.listen == 0 ? 0 : static_cast<uint16_t>(args.listen + si);
+    net::UdpSocket sock;
     std::string error;
-    if (!lst->sock.open_bound(args.bind, port, args.rcvbuf_bytes, &error)) {
+    if (!sock.open_bound(args.bind, port, args.rcvbuf_bytes, &error)) {
       std::fprintf(stderr, "wira_proxyd: %s: %s\n",
-                   core::scheme_token(lst->scheme), error.c_str());
+                   core::scheme_token(schemes[si]), error.c_str());
       return 1;
     }
-    listeners.push_back(std::move(lst));
-  }
-
-  // Demux + session bring-up.  The recv loop drains the socket fully per
-  // wakeup; a new peer address materializes a new WiraServer wired to
-  // sendto(peer) with buffers recycled through the loop's pool.
-  for (auto& lst_ptr : listeners) {
-    SchemeListener* lst = lst_ptr.get();
-    runtime.add_fd(lst->sock.fd(), [&, lst](uint32_t) {
-      uint8_t buf[65536];
-      for (;;) {
-        net::PeerAddr peer;
-        const ssize_t n = lst->sock.recv_from(buf, sizeof buf, &peer);
-        if (n < 0) return;
-        lst->datagrams++;
-        auto it = lst->sessions.find(peer);
-        if (it == lst->sessions.end()) {
-          auto session = std::make_unique<Session>(profile, kCorpusSeed);
-          Session* s = session.get();
-          if (!args.trace_dir.empty()) {
-            const std::string name = "peer_" + peer.file_tag();
-            s->qlog.open(args.trace_dir + "/" + name + ".server.sqlog",
-                         std::ios::trunc);
-            if (s->qlog) {
-              obs::QlogTraceInfo info;
-              info.title = name;
-              info.group_id = name;
-              s->qlog_writer.emplace(s->qlog, info);
-              s->tracer.stream_to(&*s->qlog_writer, /*keep_buffer=*/false);
-            }
-          }
-          app::ServerConfig cfg;
-          cfg.scheme = lst->scheme;
-          cfg.master_key = master_key;
-          cfg.expected_od_key = 0;  // serve any client's cookie binding
-          cfg.origin_latency = microseconds(args.origin_latency_us);
-          cfg.stream_horizon = milliseconds(args.stream_horizon_ms);
-          s->server.emplace(loop, s->stream, cfg,
-                            [&, lst, peer](std::vector<uint8_t> dgram) {
-                              lst->sock.send_to(peer, dgram);
-                              loop.buffers().release(std::move(dgram));
-                            });
-          s->server->connection().set_clock(&mono);
-          if (s->qlog_writer.has_value()) s->server->set_tracer(&s->tracer);
-          it = lst->sessions.emplace(peer, std::move(session)).first;
-        }
-        it->second->server->on_datagram({buf, static_cast<size_t>(n)});
-      }
-    });
+    server.scheme = schemes[si];
+    auto edge = std::make_unique<app::SocketEdge>(runtime, std::move(sock),
+                                                  server, args.trace_dir);
+    app::SocketEdge* e = edge.get();
+    runtime.add_fd(e->socket().fd(), [e](uint32_t) { e->drain(); });
+    edges.push_back(std::move(edge));
   }
 
   if (!args.port_file.empty()) {
@@ -250,16 +191,16 @@ int main(int argc, char** argv) {
                    args.port_file.c_str());
       return 1;
     }
-    for (const auto& lst : listeners) {
-      std::fprintf(f, "%s %s\n", core::scheme_token(lst->scheme),
-                   lst->sock.local_addr().display().c_str());
+    for (size_t si = 0; si < edges.size(); ++si) {
+      std::fprintf(f, "%s %s\n", core::scheme_token(schemes[si]),
+                   edges[si]->socket().local_addr().display().c_str());
     }
     std::fclose(f);
   }
-  for (const auto& lst : listeners) {
+  for (size_t si = 0; si < edges.size(); ++si) {
     std::fprintf(stderr, "wira_proxyd: %s on %s\n",
-                 core::scheme_token(lst->scheme),
-                 lst->sock.local_addr().display().c_str());
+                 core::scheme_token(schemes[si]),
+                 edges[si]->socket().local_addr().display().c_str());
   }
 
   const bool ok = runtime.run([] { return g_stop != 0; });
@@ -267,15 +208,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wira_proxyd: %s\n", runtime.error().c_str());
     return 1;
   }
-  uint64_t sessions = 0;
-  uint64_t datagrams = 0;
-  for (const auto& lst : listeners) {
-    sessions += lst->sessions.size();
-    datagrams += lst->datagrams;
+  // "served N session(s), M datagram(s)" is a fixed prefix scripts parse;
+  // N counts every session ever admitted.
+  uint64_t admitted = 0, datagrams = 0, retired = 0, live = 0, dropped = 0;
+  for (const auto& e : edges) {
+    admitted += e->admitted();
+    datagrams += e->datagrams();
+    retired += e->retired();
+    live += e->live();
+    dropped += e->dropped();
   }
   std::fprintf(stderr,
-               "wira_proxyd: served %llu session(s), %llu datagram(s)\n",
-               static_cast<unsigned long long>(sessions),
-               static_cast<unsigned long long>(datagrams));
+               "wira_proxyd: served %llu session(s), %llu datagram(s), "
+               "retired %llu, live %llu, dropped %llu\n",
+               static_cast<unsigned long long>(admitted),
+               static_cast<unsigned long long>(datagrams),
+               static_cast<unsigned long long>(retired),
+               static_cast<unsigned long long>(live),
+               static_cast<unsigned long long>(dropped));
   return 0;
 }

@@ -54,7 +54,11 @@ echo "sanitized soak passed ($(
 # Exporter smoke under the sanitizers: tail the flush file the soak just
 # wrote, scrape it once over a real socket, shut down cleanly.  This is
 # the repo's only epoll/socket code; ASan sees the whole accept-read-
-# write-close cycle and LSan audits the daemon's teardown.
+# write-close cycle and LSan audits the daemon's teardown.  Port files
+# left by an earlier run are removed first, or the wait below would read
+# a dead port.
+rm -f "${build_dir}/exporter.port" "${build_dir}/workerd1.port" \
+  "${build_dir}/workerd2.port"
 "${build_dir}/tools/wira_exporterd" \
   --flush-jsonl "${build_dir}/soak_flush.jsonl" --listen 0 \
   --port-file "${build_dir}/exporter.port" &
@@ -119,19 +123,59 @@ echo "sanitized loopback dispatch sweep passed"
 # small concurrent population against it.  This is the epoll runtime,
 # the UDP demux, and the whole QUIC stack on real sockets with ASan
 # watching both processes; LSan audits the daemon's SIGTERM teardown.
-"${build_dir}/tools/wira_proxyd" \
-  --port-file "${build_dir}/proxyd.port" 2> "${build_dir}/proxyd.log" &
-proxyd_pid=$!
-trap 'kill "${proxyd_pid}" 2>/dev/null || true' EXIT
-for _ in $(seq 50); do
-  [[ -s "${build_dir}/proxyd.port" ]] && break
-  sleep 0.1
-done
+# Two daemons cover both ways a session is retired with its origin
+# deliveries and live tail still queued: the first sees every viewer
+# leave with CONNECTION_CLOSE right after its first frame; the second
+# holds each request for 30 s of origin latency, and the viewers vanish
+# (SIGKILL) before any byte arrives, so every session is retired by the
+# idle timeout.
+# start_sanitized_proxyd PORTFILE LOG [proxyd args...] — starts a daemon
+# and waits for its port file.
+start_sanitized_proxyd() {
+  local port_file="$1" log="$2"
+  shift 2
+  rm -f "${port_file}"
+  "${build_dir}/tools/wira_proxyd" --port-file "${port_file}" "$@" \
+    2> "${log}" &
+  proxyd_pid=$!
+  trap 'kill "${proxyd_pid}" 2>/dev/null || true' EXIT
+  for _ in $(seq 50); do
+    [[ -s "${port_file}" ]] && break
+    sleep 0.1
+  done
+}
+# stop_sanitized_proxyd LOG — SIGTERM, then require a clean exit and an
+# exit line with every admitted session retired.
+stop_sanitized_proxyd() {
+  kill "${proxyd_pid}"
+  wait "${proxyd_pid}"
+  trap - EXIT
+  local line
+  line="$(grep 'wira_proxyd: served' "$1")"
+  echo "${line}"
+  [[ "${line}" =~ served\ ([0-9]+)\ session.*retired\ ([0-9]+),\ live\ 0, ]]
+  [[ "${BASH_REMATCH[1]}" -gt 0 && \
+     "${BASH_REMATCH[1]}" == "${BASH_REMATCH[2]}" ]]
+}
+
+start_sanitized_proxyd "${build_dir}/proxyd.port" "${build_dir}/proxyd.log"
 "${build_dir}/tools/wira_loadgen" --ports "${build_dir}/proxyd.port" \
   --sessions 10 --timeout-ms 120000 > "${build_dir}/loadgen.json"
-kill "${proxyd_pid}"
-wait "${proxyd_pid}" || true
-trap - EXIT
 grep -q '"handshake_failures": 0' "${build_dir}/loadgen.json"
-echo "sanitized proxyd/loadgen loopback pass passed"
+stop_sanitized_proxyd "${build_dir}/proxyd.log"
+echo "sanitized proxyd/loadgen loopback pass passed (close retirement)"
+
+start_sanitized_proxyd "${build_dir}/proxyd_idle.port" \
+  "${build_dir}/proxyd_idle.log" --origin-latency-us 30000000
+"${build_dir}/tools/wira_loadgen" --ports "${build_dir}/proxyd_idle.port" \
+  --sessions 5 --ramp-ms 0 --timeout-ms 120000 \
+  > /dev/null 2>&1 &
+loadgen_pid=$!
+sleep 3
+kill -KILL "${loadgen_pid}"
+wait "${loadgen_pid}" || true
+# The daemon's idle timeout (app::SocketEdge::kIdleTimeout) plus slack.
+sleep 12
+stop_sanitized_proxyd "${build_dir}/proxyd_idle.log"
+echo "sanitized proxyd idle-retirement pass passed"
 echo "sanitizer gate passed"

@@ -5,8 +5,9 @@
 # fresh wira_proxyd instance:
 #
 #   1. soak      — SESSIONS concurrent sessions per scheme (default
-#                  1000, i.e. 4000 concurrent handshakes); gate: zero
-#                  handshake failures.
+#                  1000, i.e. 4000 concurrent handshakes); gates: zero
+#                  handshake failures, and once the daemon's idle timeout
+#                  has passed, no session left live in its table.
 #   2. compare   — a lightly-loaded run (COMPARE_SESSIONS per scheme,
 #                  fully ramped) with --sim-compare; gate: per scheme,
 #                  the real p50 FFCT falls inside the tolerance band of
@@ -49,6 +50,9 @@ proxyd_pid=""
 trap '[[ -n "${proxyd_pid}" ]] && kill "${proxyd_pid}" 2>/dev/null || true' \
   EXIT
 
+# The daemon's idle timeout (app::SocketEdge::kIdleTimeout) plus slack.
+IDLE_WAIT_S=12
+
 # start_proxyd [extra args...] — (re)starts the daemon and waits for its
 # port file.  The traced pass needs its own instance: proxyd traces every
 # session when --trace-dir is set, and the soak's untraced clients would
@@ -72,6 +76,23 @@ start_proxyd() {
   exit 1
 }
 
+# stop_proxyd_drained — waits out the idle timeout, stops the daemon and
+# requires its exit line to report no live session: every soak session
+# was retired, by its viewer's CONNECTION_CLOSE or by the idle timeout.
+stop_proxyd_drained() {
+  sleep "${IDLE_WAIT_S}"
+  kill "${proxyd_pid}"
+  wait "${proxyd_pid}" || true
+  proxyd_pid=""
+  local line
+  line="$(grep 'wira_proxyd: served' "${OUT}/proxyd.log" | tail -n 1)"
+  echo "${line}"
+  if [[ "${line}" != *", live 0,"* ]]; then
+    echo "FAIL: sessions still live after the idle timeout" >&2
+    exit 1
+  fi
+}
+
 start_proxyd
 echo "== proxyd endpoints =="
 cat "${OUT}/ports"
@@ -88,10 +109,10 @@ if [[ "${soak_failures}" != "0" ]]; then
   exit 1
 fi
 
+echo "== soak: waiting ${IDLE_WAIT_S} s for the session table to drain =="
+stop_proxyd_drained
+
 # -- pass 2: sim-vs-real comparison --------------------------------------
-# Fresh daemon: the soak's sessions keep streaming toward their 12 s
-# horizon after the load generator exits, and the compare pass would
-# otherwise race a daemon still pacing thousands of dead sessions.
 echo "== compare: ${COMPARE_SESSIONS} sessions/scheme, sim-compare =="
 start_proxyd
 "${loadgen}" --ports "${OUT}/ports" --sessions "${COMPARE_SESSIONS}" \
